@@ -11,12 +11,15 @@ the ``kwf`` sweep of Exp-2 can run on a single graph.
 to group densities of 1.3e-5 .. 1e-4; on our ~1-2k-node graphs the pools
 ``4, 8, 16, 32`` nodes per label span the same relative range.
 
-Datasets are built lazily and memoized per ``(name, scale)``.
+Datasets are built lazily and memoized per ``(name, scale)``; the
+generator seed is a stable digest of the pair, so every process builds
+the same graph.
 """
 
 from __future__ import annotations
 
 import random
+import zlib
 from typing import Dict, List, Tuple
 
 from ..graph.graph import Graph
@@ -89,7 +92,9 @@ def clear_cache() -> None:
 
 def _build(name: str, scale: str) -> Graph:
     params = _SCALES[scale][name]
-    seed = hash((name, scale)) & 0xFFFF
+    # A stable digest: ``hash()`` of a str is salted per process by
+    # PYTHONHASHSEED, which would build a different graph every run.
+    seed = zlib.crc32(f"{name}/{scale}".encode()) & 0xFFFF
     if name == "dblp":
         graph = generators.dblp_like(seed=seed, num_query_labels=0, **params)
     elif name == "imdb":

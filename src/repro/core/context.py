@@ -13,7 +13,9 @@ single-source Dijkstra from it.  The resulting distance arrays
 :class:`QueryContext` computes and owns those arrays (plus the shortest
 path *trees* needed to materialize the actual paths), and records how
 long preprocessing took — the paper includes this in every reported
-query time.
+query time.  Building a context freezes the graph (``Graph.freeze()``)
+and keeps the CSR snapshot the search engine iterates; the snapshot
+stays cached on the caller's graph until its next mutation.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ class QueryContext:
         "node_masks",
         "build_seconds",
         "snapshot",
-        "kernel",
     )
 
     def __init__(
@@ -55,8 +56,7 @@ class QueryContext:
         parent: List[List[int]],
         node_masks: List[int],
         build_seconds: float,
-        snapshot=None,
-        kernel: str = "legacy",
+        snapshot,
     ) -> None:
         self.graph = graph
         self.query = query
@@ -65,17 +65,18 @@ class QueryContext:
         self.parent = parent        # parent[i][v] = next hop toward V_{p_i}
         self.node_masks = node_masks  # query-label bitmask per node
         self.build_seconds = build_seconds
-        # The frozen CSRGraph in effect when the context was built (None
-        # for an unfrozen graph) and the kernel family it implies; the
-        # engine dispatches its fast loop on these.
+        # The frozen CSRGraph the distances were computed on; the engine
+        # iterates its adjacency views.
         self.snapshot = snapshot
-        self.kernel = kernel
 
     @classmethod
     def build(
         cls, graph: Graph, query: GSTQuery, cache=None
     ) -> "QueryContext":
         """Run the ``k`` virtual-node Dijkstras (``O(k(m + n log n))``).
+
+        Freezes ``graph`` first (a no-op when its cached snapshot is
+        current), so the snapshot stays cached on the caller's graph.
 
         ``cache`` is an optional
         :class:`~repro.core.cache.LabelDistanceCache` bound to the same
@@ -90,7 +91,7 @@ class QueryContext:
                 "caches cannot be shared across graphs (or components)"
             )
         started = time.perf_counter()
-        snapshot = graph.snapshot()
+        snapshot = graph.freeze()
         groups = query.groups(graph)
         dist: List[List[float]] = []
         parent: List[List[int]] = []
@@ -115,7 +116,6 @@ class QueryContext:
             node_masks,
             time.perf_counter() - started,
             snapshot,
-            "csr" if snapshot is not None else "legacy",
         )
 
     # ------------------------------------------------------------------

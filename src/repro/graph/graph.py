@@ -370,11 +370,12 @@ class Graph:
         """Build (or return the cached) immutable CSR snapshot.
 
         Returns a :class:`~repro.graph.csr.CSRGraph` over the current
-        structure.  The snapshot is cached on the graph and transparently
-        picked up by the shortest-path dispatchers and the search
-        engine's flat-kernel fast path; any later mutation
-        (``add_node`` / ``add_labels`` / ``add_edge`` that changes an
-        edge) drops it, so a stale snapshot can never be observed.
+        structure.  Every read path (the shortest-path functions,
+        ``QueryContext.build`` and so the search engine) calls this, so
+        the first solve on a graph freezes it and later solves reuse the
+        cached snapshot; any later mutation (``add_node`` /
+        ``add_labels`` / ``add_edge`` that changes an edge) drops it, so
+        a stale snapshot can never be observed.
         """
         if self._snapshot is None:
             from .csr import CSRGraph

@@ -99,7 +99,7 @@ class GraphIndex:
         self.graph = graph
         # Freeze once: the CSR snapshot is immutable, so every query on
         # this index (across all executor threads) shares it without
-        # locking, and the whole read path runs on the flat kernels.
+        # locking.
         freeze_started = time.perf_counter()
         self.snapshot = graph.freeze()
         self.snapshot_build_seconds = time.perf_counter() - freeze_started
@@ -500,7 +500,6 @@ class GraphIndex:
                 context = solver.build_context()
             finally:
                 trace.stages["context_build"] = time.perf_counter() - stage_started
-            trace.kernel = getattr(context, "kernel", None)
             stage_started = time.perf_counter()
             prepared = solver.prepare(context)
             trace.stages["bounds_build"] = time.perf_counter() - stage_started

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.bench import datasets
@@ -40,6 +44,29 @@ class TestRegistry:
         tiny = datasets.get_dataset("dblp", "tiny")
         small = datasets.get_dataset("dblp", "small")
         assert small.num_nodes > tiny.num_nodes
+
+
+class TestDeterminism:
+    def test_same_graph_under_different_hash_seeds(self):
+        # Each build runs in a fresh interpreter with its own string-hash
+        # salt; the dataset seed must not depend on it.
+        script = (
+            "from repro.bench import datasets\n"
+            "from repro.store.manifest import graph_fingerprint\n"
+            "print(graph_fingerprint(datasets.get_dataset('dblp', 'tiny')))\n"
+        )
+        fingerprints = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            run = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            fingerprints.append(run.stdout.strip())
+        assert fingerprints[0] and fingerprints[0] == fingerprints[1]
 
 
 class TestKwfPools:

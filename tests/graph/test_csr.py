@@ -3,6 +3,7 @@
 * ``Graph.freeze`` / ``Graph.snapshot`` lifecycle and invalidation,
 * CSR buffer shape/content against the source graph,
 * the integer-weight Dial fast lane and its ``MAX_DIAL_WEIGHT`` cutoff,
+* the shortest-path functions freezing (and caching) the snapshot,
 * the O(1) duplicate-edge collapse rule (parallel edges keep the
   lighter weight — pinned here so the edge-position index can never
   silently change it),
@@ -18,11 +19,8 @@ from repro.graph.csr import CSRGraph, MAX_DIAL_WEIGHT
 from repro.graph.graph import Graph
 from repro.graph.shortest_paths import (
     dijkstra,
-    dijkstra_csr,
-    label_enhanced_distances_csr,
-    label_enhanced_distances_legacy,
+    label_enhanced_distances,
     multi_source_dijkstra,
-    multi_source_dijkstra_csr,
 )
 
 
@@ -147,49 +145,58 @@ class TestDialLane:
 
     def test_dial_and_heap_agree_with_zero_weight_edges(self):
         graph = path_graph([0.0, 1.0, 0.0, 2.0])
-        csr = graph.freeze()
-        assert csr.integer_weights
-        dist, parent = dijkstra_csr(csr, 0)
+        assert graph.freeze().integer_weights
+        dist, parent = dijkstra(graph, 0)
         assert dist == [0.0, 0.0, 1.0, 1.0, 3.0]
-        legacy_dist, _ = dijkstra(path_graph([0.0, 1.0, 0.0, 2.0]), 0)
-        assert dist == legacy_dist
+        assert parent == [-1, 0, 1, 2, 3]
+        # Halved weights are non-integral, so the heap lane runs; every
+        # value is a power-of-two fraction, so the halving is exact.
+        halved = path_graph([0.0, 0.5, 0.0, 1.0])
+        assert not halved.freeze().integer_weights
+        heap_dist, heap_parent = dijkstra(halved, 0)
+        assert heap_dist == [d / 2 for d in dist]
+        assert heap_parent == parent
 
-    def test_label_enhanced_csr_matches_legacy(self):
+    def test_label_enhanced_csr_matches_hand_computed(self):
         graph = path_graph(
             [1.0, 2.0, 1.0, 1.0],
             labels=[(0, "a"), (4, "a"), (2, "b"), (3, "c")],
         )
         groups = [[0, 4], [2], [3]]
-        expected = label_enhanced_distances_legacy(graph, groups)
-        assert label_enhanced_distances_csr(graph.freeze(), groups) == expected
+        # a reaches b through 4-3-2 (2) and c through 4-3 (1); b-c is 1.
+        expected = [[0.0, 2.0, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+        assert label_enhanced_distances(graph, groups) == expected
 
 
 class TestDispatch:
     def test_frozen_graph_routes_to_csr(self):
         graph = path_graph([1.0, 2.0])
-        legacy_dist, _ = multi_source_dijkstra(graph, [0])
-        graph.freeze()
-        csr_dist, _ = multi_source_dijkstra(graph, [0])
-        assert legacy_dist == csr_dist
+        assert graph.snapshot() is None
+        dist, _ = multi_source_dijkstra(graph, [0])
+        assert dist == [0.0, 1.0, 3.0]
+        # The call froze the graph and cached the snapshot on it.
+        snapshot = graph.snapshot()
+        assert snapshot is not None
+        multi_source_dijkstra(graph, [0])
+        assert graph.snapshot() is snapshot
 
     def test_targets_early_exit_matches(self):
         graph = path_graph([1.0, 1.0, 1.0, 1.0])
-        legacy_dist, _ = multi_source_dijkstra(graph, [0], targets=[2])
-        graph.freeze()
-        csr_dist, _ = multi_source_dijkstra(graph, [0], targets=[2])
-        assert csr_dist[2] == legacy_dist[2] == 2.0
+        full_dist, _ = multi_source_dijkstra(graph, [0])
+        early_dist, _ = multi_source_dijkstra(graph, [0], targets=[2])
+        assert early_dist[2] == full_dist[2] == 2.0
 
 
 class TestNodeRangeError:
-    def test_legacy_sources_raise_typed_error(self):
+    def test_sources_past_the_end_raise_typed_error(self):
         graph = path_graph([1.0])
         with pytest.raises(NodeRangeError):
             multi_source_dijkstra(graph, [5])
 
     def test_csr_sources_raise_typed_error(self):
-        csr = path_graph([1.0]).freeze()
+        graph = path_graph([1.0])
         with pytest.raises(NodeRangeError):
-            multi_source_dijkstra_csr(csr, [-1])
+            multi_source_dijkstra(graph, [-1])
 
     def test_subclasses_both_hierarchies(self):
         graph = path_graph([1.0])

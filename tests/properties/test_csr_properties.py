@@ -1,30 +1,34 @@
 """Properties of the CSR snapshot layer.
 
-Two families, as the refactor's safety net:
+Two families:
 
 * *Invalidation*: any mutating ``Graph`` operation performed after
   ``freeze()`` drops the cached snapshot, so a stale CSR view can never
   be served (randomized over mutation kinds via Hypothesis).
-* *Kernel agreement*: the CSR kernels (including the integer-weight
-  Dial fast lane) compute exactly the legacy kernels' answers on the
-  same random instances the differential sweep draws — reusing
-  :func:`repro.verify.differential.generate_instance` so the seeds
-  here replay under ``repro verify`` verbatim.
+* *Kernel correctness*: both Dijkstra lanes (Dial's bucket queue on
+  small integer weights, the binary heap otherwise) match a plain
+  ``heapq`` Dijkstra on the materialized label-enhanced graph, and
+  their ``parent`` arrays are valid shortest-path trees.  The random
+  instances include zero-weight edges and groups in other components.
 """
 
 from __future__ import annotations
 
+import heapq
+import random
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.graph import Graph
 from repro.graph.shortest_paths import (
-    label_enhanced_distances_csr,
-    label_enhanced_distances_legacy,
-    multi_source_dijkstra_csr,
-    multi_source_dijkstra_legacy,
+    label_enhanced_distances,
+    multi_source_dijkstra,
+    reconstruct_path,
 )
-from repro.verify.differential import generate_instance
+
+INF = float("inf")
 
 # ----------------------------------------------------------------------
 # Invalidation: mutation after freeze() always drops the snapshot.
@@ -100,45 +104,109 @@ def test_mutation_after_freeze_invalidates(case):
 
 
 # ----------------------------------------------------------------------
-# Kernel agreement on the differential sweep's own random instances.
+# Kernels against an independent oracle, on both lanes.
 # ----------------------------------------------------------------------
 
-AGREEMENT_SEEDS = range(1000, 1040)
+# Each seed runs once per lane: Dial (integer weights), heap (float).
+CASES = [(seed, integer) for seed in range(60) for integer in (True, False)]
+
+
+def oracle_distances(graph, groups, source):
+    """Plain ``heapq`` Dijkstra on the materialized label-enhanced graph.
+
+    Adds one virtual node ``n + i`` per group, joined to its members by
+    zero-weight edges, and returns the distances from ``n + source``.
+    """
+    n = graph.num_nodes
+    adj = [list(graph.neighbors(u)) for u in range(n)] + [[] for _ in groups]
+    for i, members in enumerate(groups):
+        for u in members:
+            adj[n + i].append((u, 0.0))
+            adj[u].append((n + i, 0.0))
+    dist = [INF] * len(adj)
+    dist[n + source] = 0.0
+    heap = [(0.0, n + source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, w in adj[u]:
+            if d + w < dist[v]:
+                dist[v] = d + w
+                heapq.heappush(heap, (d + w, v))
+    return dist
+
+
+def random_instance(seed, integer):
+    """A sparse random graph (often several components) and its groups.
+
+    ``integer`` draws weights from 0..4, zeros included, so the Dial
+    lane runs with same-bucket cascades; otherwise weights are
+    non-integral and the heap lane runs.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(2, 30)
+    graph = Graph()
+    for _ in range(n):
+        graph.add_node()
+    for _ in range(rng.randint(1, 2 * n)):
+        u, v = rng.sample(range(n), 2)
+        w = rng.randint(0, 4) if integer else rng.uniform(0.1, 10.0)
+        graph.add_edge(u, v, w)
+    groups = [
+        sorted(rng.sample(range(n), rng.randint(1, min(3, n))))
+        for _ in range(rng.randint(1, 5))
+    ]
+    assert (graph.freeze().int_adjacency is not None) == integer
+    return graph, groups
+
+
+def assert_shortest_path_tree(graph, sources, dist, parent):
+    """``parent`` is a shortest-path tree for ``dist`` rooted at ``sources``."""
+    for v in range(graph.num_nodes):
+        if v in sources:
+            assert dist[v] == 0.0 and parent[v] == -1
+        elif dist[v] == INF:
+            assert parent[v] == -1
+        else:
+            p = parent[v]
+            assert dist[v] == dist[p] + graph.edge_weight(v, p)
+            assert reconstruct_path(parent, v)[-1] in sources
 
 
 def test_dijkstra_kernels_agree_on_random_graphs():
-    for seed in AGREEMENT_SEEDS:
-        graph, labels = generate_instance(seed, max_nodes=30, max_labels=5)
-        csr = graph.freeze()
+    for seed, integer in CASES:
+        graph, _groups = random_instance(seed, integer)
+        where = f"seed {seed}, integer {integer}"
         for source in range(0, graph.num_nodes, max(1, graph.num_nodes // 4)):
-            legacy_dist, _ = multi_source_dijkstra_legacy(graph, [source])
-            csr_dist, _ = multi_source_dijkstra_csr(csr, [source])
-            assert csr_dist == legacy_dist, f"seed {seed}, source {source}"
+            dist, parent = multi_source_dijkstra(graph, [source])
+            expected = oracle_distances(graph, [[source]], 0)
+            assert dist == expected[: graph.num_nodes], where
+            assert_shortest_path_tree(graph, {source}, dist, parent)
 
 
 def test_multi_source_and_label_enhanced_agree():
-    for seed in AGREEMENT_SEEDS:
-        graph, labels = generate_instance(seed, max_nodes=30, max_labels=5)
-        groups = [list(graph.nodes_with_label(label)) for label in labels]
-        groups = [members for members in groups if members]
-        if not groups:
-            continue
-        csr = graph.freeze()
+    for seed, integer in CASES:
+        graph, groups = random_instance(seed, integer)
+        n = graph.num_nodes
+        where = f"seed {seed}, integer {integer}"
         for members in groups:
-            legacy_dist, _ = multi_source_dijkstra_legacy(graph, members)
-            csr_dist, _ = multi_source_dijkstra_csr(csr, members)
-            assert csr_dist == legacy_dist, f"seed {seed}"
-        assert label_enhanced_distances_csr(csr, groups) == (
-            label_enhanced_distances_legacy(graph, groups)
-        ), f"seed {seed}"
+            dist, parent = multi_source_dijkstra(graph, members)
+            assert dist == oracle_distances(graph, [members], 0)[:n], where
+            assert_shortest_path_tree(graph, set(members), dist, parent)
+        table = label_enhanced_distances(graph, groups)
+        for i in range(len(groups)):
+            expected = oracle_distances(graph, groups, i)[n:]
+            # The table is symmetrized; float sums along a path and its
+            # reverse may differ in the last bit.
+            assert table[i] == pytest.approx(expected, rel=1e-12), where
 
 
 def test_targets_early_exit_agrees_on_requested_nodes():
-    for seed in AGREEMENT_SEEDS:
-        graph, _labels = generate_instance(seed, max_nodes=24, max_labels=4)
-        csr = graph.freeze()
-        targets = list(range(0, graph.num_nodes, 3)) or [0]
-        legacy_dist, _ = multi_source_dijkstra_legacy(graph, [0], targets=targets)
-        csr_dist, _ = multi_source_dijkstra_csr(csr, [0], targets=targets)
+    for seed, integer in CASES:
+        graph, _groups = random_instance(seed, integer)
+        targets = list(range(0, graph.num_nodes, 3))
+        dist, _ = multi_source_dijkstra(graph, [0], targets=targets)
+        expected = oracle_distances(graph, [[0]], 0)
         for t in targets:
-            assert csr_dist[t] == legacy_dist[t], f"seed {seed}, target {t}"
+            assert dist[t] == expected[t], f"seed {seed}, target {t}"

@@ -133,22 +133,19 @@ class TestResumeEquivalence:
             == reference.stats.states_popped
         )
 
-    def test_legacy_loop_round_trip(self, graph, reference, tmp_path):
-        # The legacy (non-CSR) engine loop keeps tuple state keys; the
-        # checkpoint normalizes them to packed ints and restore must
-        # repack them. basic runs legacy when the snapshot is absent —
-        # simplest equivalent: checkpoint+restore through the engine
-        # API directly on a fresh context.
+    def test_engine_api_round_trip(self, graph, reference, tmp_path):
+        # Checkpoint and restore through the solver/engine API directly,
+        # without the index or resume_query: the packed state keys must
+        # survive the JSON round trip.
         from repro.core.algorithms import PrunedDPPlusPlusSolver
 
         solver = PrunedDPPlusPlusSolver(
             graph, LABELS, budget=Budget(max_states=120, on_limit="return")
         )
         context = solver.build_context()
-        context.snapshot = None  # force the legacy loop
         prepared = solver.prepare(context)
         meta = checkpoint_meta("fp", LABELS, "pruneddp++")
-        path = str(tmp_path / "legacy.ckpt")
+        path = str(tmp_path / "engine.ckpt")
         solver.checkpointer = Checkpointer(
             path, meta, every_pops=25, every_seconds=None
         )
@@ -158,24 +155,23 @@ class TestResumeEquivalence:
 
         resumed = PrunedDPPlusPlusSolver(graph, LABELS, restore_state=state)
         context2 = resumed.build_context()
-        context2.snapshot = None
         result = resumed.run_search(context2, resumed.prepare(context2))
         assert result.optimal
         assert result.weight == pytest.approx(reference.weight)
 
-    def test_cross_loop_restore(self, graph, reference, tmp_path):
-        # A checkpoint taken on the legacy loop restores onto the CSR
-        # loop (and vice versa): keys are stored packed, repacked per
-        # target loop.
+    def test_engine_checkpoint_resumes_through_solve(
+        self, graph, reference, tmp_path
+    ):
+        # A checkpoint written by run_search resumes through the
+        # one-call solve() entry point.
         from repro.core.algorithms import PrunedDPPlusPlusSolver
 
         solver = PrunedDPPlusPlusSolver(
             graph, LABELS, budget=Budget(max_states=120, on_limit="return")
         )
         context = solver.build_context()
-        context.snapshot = None
         meta = checkpoint_meta("fp", LABELS, "pruneddp++")
-        path = str(tmp_path / "cross.ckpt")
+        path = str(tmp_path / "solve.ckpt")
         solver.checkpointer = Checkpointer(
             path, meta, every_pops=25, every_seconds=None
         )
@@ -183,7 +179,7 @@ class TestResumeEquivalence:
         _, state = read_checkpoint(path)
 
         resumed = PrunedDPPlusPlusSolver(graph, LABELS, restore_state=state)
-        result = resumed.solve()  # CSR loop: snapshot left in place
+        result = resumed.solve()
         assert result.optimal
         assert result.weight == pytest.approx(reference.weight)
 
