@@ -275,7 +275,7 @@ class PrunedDPPlusPlusSolver(PrunedDPSolver):
     def _prepare(self, context: QueryContext):
         needs_tables = self.use_tour1 or self.use_tour2
         routes = (
-            RouteTables.build(self.graph, context.groups) if needs_tables else None
+            RouteTables.build(context.dist, context.groups) if needs_tables else None
         )
         bounds = LowerBounds(
             context,

@@ -14,9 +14,11 @@ The paper drives the recurrence
 
 with best-first search; we evaluate the identical recurrence by subset
 size (Held-Karp order), which computes exactly the same closed table in
-``O(2^k k^3)`` after the ``O(k(m + n log n))`` virtual-node Dijkstras —
-the complexity Theorem 3 states.  A property test checks the table
-against brute-force route enumeration.
+``O(2^k k^3)``.  The leg weights ``dist(ṽ_p, ṽ_j)`` come from the
+query context's k virtual-node Dijkstras (:func:`label_enhanced_distances`),
+so the tables add ``O(2^k k^3 + k·Σ|V_j|)`` on top of the context's
+``O(k(m + n log n))`` sweeps — no further pass over the graph.  A
+property test checks the table against brute-force route enumeration.
 
 The derived open-tour table ``W(ṽ_i, X̄) = min_j W(ṽ_i, ṽ_j, X̄)`` is
 precomputed too (used by the second tour bound π_t2).
@@ -28,17 +30,54 @@ import time
 from typing import Dict, List, Sequence
 
 from ..errors import QueryError
-from ..graph.graph import Graph
-from ..graph.shortest_paths import label_enhanced_distances
 from .state import iter_bits, popcount
 
-__all__ = ["RouteTables", "MAX_ALLPATHS_LABELS"]
+__all__ = ["RouteTables", "MAX_ALLPATHS_LABELS", "label_enhanced_distances"]
 
 INF = float("inf")
 
 # 2^k * k^2 floats; k=14 is ~3.2M entries (~tens of MB as Python lists),
 # the practical ceiling for the pure-Python table.
 MAX_ALLPATHS_LABELS = 14
+
+
+def label_enhanced_distances(
+    dist: Sequence[Sequence[float]],
+    groups: Sequence[Sequence[int]],
+) -> List[List[float]]:
+    """Pairwise virtual-node distances ``dist(ṽ_i, ṽ_j)``, Section 4.1.
+
+    The distances are taken in the *label-enhanced* graph, where every
+    virtual node is attached at once by zero-weight edges to its group
+    ``V_i = groups[i]``.  ``dist[i][v]`` is the real-graph distance from
+    ``v`` to ``V_i`` (the query context's virtual-node sweeps).
+
+    A shortest enhanced path splits at each virtual node it visits into
+    real-graph legs between two groups, so the matrix is the min-plus
+    closure of ``D0[i][j] = min_{v in V_j} dist[i][v]``.  ``D0`` is
+    symmetric up to float rounding; the smaller direction is kept.
+    Unreachable pairs stay ``inf``.
+    """
+    k = len(groups)
+    table = [[min(row[v] for v in members) for members in groups] for row in dist]
+    for i in range(k):
+        for j in range(i + 1, k):
+            best = min(table[i][j], table[j][i])
+            table[i][j] = best
+            table[j][i] = best
+    # Floyd–Warshall over the k virtual nodes.
+    for p in range(k):
+        via = table[p]
+        for i in range(k):
+            row = table[i]
+            to_p = row[p]
+            if to_p == INF:
+                continue
+            for j in range(k):
+                candidate = to_p + via[j]
+                if candidate < row[j]:
+                    row[j] = candidate
+    return table
 
 
 class RouteTables:
@@ -67,8 +106,16 @@ class RouteTables:
 
     # ------------------------------------------------------------------
     @classmethod
-    def build(cls, graph: Graph, groups: Sequence[Sequence[int]]) -> "RouteTables":
-        """Compute the full table set for the query's label groups."""
+    def build(
+        cls,
+        dist: Sequence[Sequence[float]],
+        groups: Sequence[Sequence[int]],
+    ) -> "RouteTables":
+        """Compute the full table set for the query's label groups.
+
+        ``dist[i][v]`` is the distance from ``v`` to group ``groups[i]``
+        (``QueryContext.dist``).
+        """
         k = len(groups)
         if k > MAX_ALLPATHS_LABELS:
             raise QueryError(
@@ -76,7 +123,9 @@ class RouteTables:
                 f"labels, got {k}"
             )
         started = time.perf_counter()
-        virtual_distance = label_enhanced_distances(graph, groups)
+        # Called through the module global: perfbench/tracing.py wraps it
+        # by name as the ``graph.teleport`` span.
+        virtual_distance = label_enhanced_distances(dist, groups)
 
         # Masks grouped by popcount, ascending, so every sub-state of the
         # recurrence is already final when read (Held-Karp order).

@@ -49,13 +49,18 @@ class TestRegistry:
 class TestDeterminism:
     def test_same_graph_under_different_hash_seeds(self):
         # Each build runs in a fresh interpreter with its own string-hash
-        # salt; the dataset seed must not depend on it.
+        # salt; neither the dataset seed nor the figure workloads' query
+        # seed may depend on it.
         script = (
             "from repro.bench import datasets\n"
+            "from repro.bench.workloads import make_workload\n"
             "from repro.store.manifest import graph_fingerprint\n"
             "print(graph_fingerprint(datasets.get_dataset('dblp', 'tiny')))\n"
+            "_, queries = make_workload('dblp', scale='tiny', knum=4, kwf=8,"
+            " num_queries=5)\n"
+            "print(queries.queries)\n"
         )
-        fingerprints = []
+        outputs = []
         for hash_seed in ("1", "2"):
             env = dict(os.environ, PYTHONHASHSEED=hash_seed)
             run = subprocess.run(
@@ -65,8 +70,10 @@ class TestDeterminism:
                 text=True,
                 check=True,
             )
-            fingerprints.append(run.stdout.strip())
-        assert fingerprints[0] and fingerprints[0] == fingerprints[1]
+            outputs.append(run.stdout.strip().splitlines())
+        fingerprint, queries = outputs[0]
+        assert fingerprint and queries != "()"
+        assert outputs[0] == outputs[1]
 
 
 class TestKwfPools:

@@ -10,6 +10,7 @@ from repro.core.allpaths import MAX_ALLPATHS_LABELS, RouteTables
 from repro.core.bruteforce import brute_force_route
 from repro.core.state import iter_bits
 from repro.graph import generators
+from repro.graph.shortest_paths import multi_source_dijkstra
 
 INF = float("inf")
 
@@ -18,17 +19,22 @@ def groups_of(graph, k):
     return [list(graph.nodes_with_label(f"q{i}")) for i in range(k)]
 
 
+def build_tables(graph, groups):
+    dist = [multi_source_dijkstra(graph, members)[0] for members in groups]
+    return RouteTables.build(dist, groups)
+
+
 class TestSmallCases:
     def test_singleton_route_is_zero(self):
         g = generators.random_graph(8, 12, num_query_labels=2, seed=0)
-        tables = RouteTables.build(g, groups_of(g, 2))
+        tables = build_tables(g, groups_of(g, 2))
         assert tables.route(0, 0, 0b01) == 0.0
         assert tables.route(1, 1, 0b10) == 0.0
         assert tables.tour(0, 0b01) == 0.0
 
     def test_pair_route_is_virtual_distance(self):
         g = generators.random_graph(10, 18, num_query_labels=3, seed=1)
-        tables = RouteTables.build(g, groups_of(g, 3))
+        tables = build_tables(g, groups_of(g, 3))
         for i in range(3):
             for j in range(3):
                 if i == j:
@@ -40,7 +46,7 @@ class TestSmallCases:
 
     def test_route_requires_start_in_mask(self):
         g = generators.random_graph(8, 12, num_query_labels=2, seed=0)
-        tables = RouteTables.build(g, groups_of(g, 2))
+        tables = build_tables(g, groups_of(g, 2))
         with pytest.raises(KeyError):
             tables.route(0, 1, 0b10)
         with pytest.raises(KeyError):
@@ -51,11 +57,11 @@ class TestSmallCases:
             40, 80, num_query_labels=MAX_ALLPATHS_LABELS + 1, label_frequency=2, seed=0
         )
         with pytest.raises(QueryError):
-            RouteTables.build(g, groups_of(g, MAX_ALLPATHS_LABELS + 1))
+            build_tables(g, groups_of(g, MAX_ALLPATHS_LABELS + 1))
 
     def test_num_entries_positive(self):
         g = generators.random_graph(10, 18, num_query_labels=3, seed=2)
-        tables = RouteTables.build(g, groups_of(g, 3))
+        tables = build_tables(g, groups_of(g, 3))
         assert tables.num_entries > 0
         assert tables.build_seconds >= 0.0
 
@@ -67,7 +73,7 @@ class TestAgainstBruteForce:
         g = generators.random_graph(
             14, 26, num_query_labels=k, label_frequency=2, seed=seed
         )
-        tables = RouteTables.build(g, groups_of(g, k))
+        tables = build_tables(g, groups_of(g, k))
         dist = tables.virtual_distance
         full = (1 << k) - 1
         for mask in range(1, full + 1):
@@ -85,7 +91,7 @@ class TestAgainstBruteForce:
         g = generators.random_graph(
             14, 26, num_query_labels=k, label_frequency=2, seed=11
         )
-        tables = RouteTables.build(g, groups_of(g, k))
+        tables = build_tables(g, groups_of(g, k))
         full = (1 << k) - 1
         for mask in range(1, full + 1):
             bits = list(iter_bits(mask))
@@ -101,7 +107,7 @@ class TestTriangleInequalityStructure:
         g = generators.random_graph(
             16, 30, num_query_labels=k, label_frequency=2, seed=3
         )
-        tables = RouteTables.build(g, groups_of(g, k))
+        tables = build_tables(g, groups_of(g, k))
         full = (1 << k) - 1
         for mask in range(1, full + 1):
             bits = list(iter_bits(mask))
@@ -120,7 +126,7 @@ class TestTriangleInequalityStructure:
         b = g.add_node(labels=["q1"])
         c = g.add_node(labels=["q2"])
         g.add_edge(a, b, 1.0)  # q2 disconnected
-        tables = RouteTables.build(g, [[a], [b], [c]])
+        tables = build_tables(g, [[a], [b], [c]])
         assert tables.route(0, 1, 0b011) == 1.0
         assert tables.route(0, 2, 0b101) == INF
         assert tables.tour(0, 0b111) == INF

@@ -14,14 +14,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.allpaths import label_enhanced_distances
 from repro.errors import GraphError, NodeRangeError
 from repro.graph.csr import CSRGraph, MAX_DIAL_WEIGHT
 from repro.graph.graph import Graph
-from repro.graph.shortest_paths import (
-    dijkstra,
-    label_enhanced_distances,
-    multi_source_dijkstra,
-)
+from repro.graph.shortest_paths import dijkstra, multi_source_dijkstra
 
 
 def path_graph(weights, labels=()):
@@ -165,7 +162,8 @@ class TestDialLane:
         groups = [[0, 4], [2], [3]]
         # a reaches b through 4-3-2 (2) and c through 4-3 (1); b-c is 1.
         expected = [[0.0, 2.0, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
-        assert label_enhanced_distances(graph, groups) == expected
+        dist = [multi_source_dijkstra(graph, members)[0] for members in groups]
+        assert label_enhanced_distances(dist, groups) == expected
 
 
 class TestDispatch:

@@ -8,10 +8,10 @@ import networkx as nx
 import pytest
 
 from repro import Graph
+from repro.core.allpaths import label_enhanced_distances
 from repro.graph import generators
 from repro.graph.shortest_paths import (
     dijkstra,
-    label_enhanced_distances,
     multi_source_dijkstra,
     path_edges_to_source,
     reconstruct_path,
@@ -102,15 +102,21 @@ class TestMultiSource:
         )
 
 
+def enhanced_distances(graph, groups):
+    """The AllPaths virtual-node matrix from per-group Dijkstra arrays."""
+    dist = [multi_source_dijkstra(graph, members)[0] for members in groups]
+    return label_enhanced_distances(dist, groups)
+
+
 class TestLabelEnhancedDistances:
     def test_matches_explicit_enhanced_graph(self):
-        """Teleport Dijkstra == Dijkstra on the materialized enhanced graph."""
+        """The closure == Dijkstra on the materialized enhanced graph."""
         for seed in range(6):
             g = generators.random_graph(
                 24, 48, num_query_labels=4, label_frequency=3, seed=seed
             )
             groups = [list(g.nodes_with_label(f"q{i}")) for i in range(4)]
-            got = label_enhanced_distances(g, groups)
+            got = enhanced_distances(g, groups)
 
             nxg = to_networkx(g)
             for i, members in enumerate(groups):
@@ -126,18 +132,30 @@ class TestLabelEnhancedDistances:
     def test_symmetry_and_zero_diagonal(self):
         g = generators.random_graph(20, 35, num_query_labels=3, seed=1)
         groups = [list(g.nodes_with_label(f"q{i}")) for i in range(3)]
-        d = label_enhanced_distances(g, groups)
+        d = enhanced_distances(g, groups)
         for i in range(3):
             assert d[i][i] == 0.0
             for j in range(3):
                 assert d[i][j] == d[j][i]
+
+    def test_rounding_is_symmetrized(self):
+        """Summed from either end, 0.1 + 0.2 + 0.3 gives two different
+        floats; both directions keep the smaller one."""
+        g = Graph()
+        a, x, y, b = (g.add_node() for _ in range(4))
+        g.add_edge(a, x, 0.1)
+        g.add_edge(x, y, 0.2)
+        g.add_edge(y, b, 0.3)
+        assert multi_source_dijkstra(g, [a])[0][b] != multi_source_dijkstra(g, [b])[0][a]
+        d = enhanced_distances(g, [[a], [b]])
+        assert d[0][1] == d[1][0] == 0.6
 
     def test_overlapping_groups_distance_zero(self):
         g = Graph()
         v = g.add_node(labels=["a", "b"])
         w = g.add_node(labels=["c"])
         g.add_edge(v, w, 5.0)
-        d = label_enhanced_distances(g, [[v], [v], [w]])
+        d = enhanced_distances(g, [[v], [v], [w]])
         assert d[0][1] == 0.0
         assert d[0][2] == 5.0
 
@@ -145,5 +163,17 @@ class TestLabelEnhancedDistances:
         g = Graph()
         a = g.add_node(labels=["a"])
         b = g.add_node(labels=["b"])
-        d = label_enhanced_distances(g, [[a], [b]])
+        d = enhanced_distances(g, [[a], [b]])
         assert d[0][1] == INF
+
+    def test_route_teleports_through_a_third_group(self):
+        """a -1- b1 ... b2 -1- c: a reaches c at 2 through group b's
+        virtual node, though every real a–c path weighs 21."""
+        g = Graph()
+        a, b1, mid, b2, c = (g.add_node() for _ in range(5))
+        g.add_edge(a, b1, 1.0)
+        g.add_edge(b1, mid, 10.0)
+        g.add_edge(mid, b2, 9.0)
+        g.add_edge(b2, c, 1.0)
+        d = enhanced_distances(g, [[a], [b1, b2], [c]])
+        assert d == [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]

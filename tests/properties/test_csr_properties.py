@@ -8,8 +8,11 @@ Two families:
 * *Kernel correctness*: both Dijkstra lanes (Dial's bucket queue on
   small integer weights, the binary heap otherwise) match a plain
   ``heapq`` Dijkstra on the materialized label-enhanced graph, and
-  their ``parent`` arrays are valid shortest-path trees.  The random
-  instances include zero-weight edges and groups in other components.
+  their ``parent`` arrays are valid shortest-path trees.  The
+  virtual-node distance closure of ``repro.core.allpaths``, fed the
+  kernels' per-group arrays, matches the same oracle.  The random
+  instances include zero-weight edges, overlapping groups, groups in
+  other components and single-group queries.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.allpaths import label_enhanced_distances
 from repro.graph.graph import Graph
 from repro.graph.shortest_paths import (
-    label_enhanced_distances,
     multi_source_dijkstra,
     reconstruct_path,
 )
@@ -186,20 +189,34 @@ def test_dijkstra_kernels_agree_on_random_graphs():
 
 
 def test_multi_source_and_label_enhanced_agree():
+    seen = {"overlap": False, "inf": False, "k1": False}
     for seed, integer in CASES:
         graph, groups = random_instance(seed, integer)
         n = graph.num_nodes
         where = f"seed {seed}, integer {integer}"
+        arrays = []
         for members in groups:
             dist, parent = multi_source_dijkstra(graph, members)
             assert dist == oracle_distances(graph, [members], 0)[:n], where
             assert_shortest_path_tree(graph, set(members), dist, parent)
-        table = label_enhanced_distances(graph, groups)
+            arrays.append(dist)
+        table = label_enhanced_distances(arrays, groups)
         for i in range(len(groups)):
             expected = oracle_distances(graph, groups, i)[n:]
-            # The table is symmetrized; float sums along a path and its
-            # reverse may differ in the last bit.
-            assert table[i] == pytest.approx(expected, rel=1e-12), where
+            if integer:
+                assert table[i] == expected, where
+            else:
+                # Legs are summed separately from the oracle's single
+                # path sum, so the last bit may differ.
+                assert table[i] == pytest.approx(expected, rel=1e-12), where
+            assert table[i][i] == 0.0, where
+        seen["overlap"] |= any(
+            set(a) & set(b) for a in groups for b in groups if a is not b
+        )
+        seen["inf"] |= any(INF in row for row in table)
+        seen["k1"] |= len(groups) == 1
+    # The random corpus exercises every case the closure must handle.
+    assert all(seen.values()), seen
 
 
 def test_targets_early_exit_agrees_on_requested_nodes():

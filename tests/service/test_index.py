@@ -8,7 +8,7 @@ from repro import Graph
 from repro.core import PrunedDPPlusPlusSolver, solve_gst
 from repro.core.cache import LabelDistanceCache
 from repro.errors import InfeasibleQueryError, LimitExceededError
-from repro.graph import generators
+from repro.graph import generators, shortest_paths
 from repro.service import Budget, GraphIndex
 from repro.service.telemetry import STAGES
 
@@ -117,6 +117,38 @@ class TestCacheSharing:
         assert info["cached_labels"] <= 2
         assert info["evictions"] >= 4
         assert info["max_labels"] == 2
+
+    def test_warm_query_runs_no_dijkstra(self, graph, monkeypatch):
+        """With every label cached, PrunedDP++ (AllPaths tables included)
+        reads only the cached arrays and never sweeps the graph."""
+        labels = ["q0", "q1", "q2", "q3"]
+        index = GraphIndex(graph)
+        for label in labels:
+            index.cache.distances(label)
+        kernels = [
+            name
+            for name in vars(shortest_paths)
+            if name.startswith(("_msd_", "_led_"))
+        ]
+        assert kernels
+        calls = []
+
+        def counted(name, kernel):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return kernel(*args, **kwargs)
+
+            return wrapper
+
+        for name in kernels:
+            monkeypatch.setattr(
+                shortest_paths, name, counted(name, getattr(shortest_paths, name))
+            )
+        outcome = index.execute(labels, algorithm="pruneddp++")
+        assert outcome.error is None
+        assert outcome.result.optimal
+        assert outcome.trace.cache_hits == len(labels)
+        assert calls == []
 
 
 class TestComponents:
